@@ -2,10 +2,11 @@
 //! paper-shaped workloads, emitting a `BENCH_kernels.json` summary.
 //!
 //! Workloads mirror the surrogate's hot shapes: the batched matmul of the
-//! qkv/projection linears, windowed-attention score blocks, softmax rows,
-//! and a GELU elementwise chain. Each kernel is timed as best-of-N wall
-//! time per backend; the headline number is the `B=8, 256×256×256` batched
-//! matmul speedup.
+//! qkv/projection linears, windowed-attention score blocks (a synthetic
+//! 96×64×8 row plus the masked 16-token, head-dim-6 windows each encoder
+//! stage of the medium model runs), softmax rows, and a GELU elementwise
+//! chain. Each kernel is timed as best-of-N wall time per backend; the
+//! headline number is the `B=8, 256×256×256` batched matmul speedup.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 struct KernelResult {
-    name: &'static str,
+    name: String,
     scalar_ms: f64,
     blocked_ms: f64,
 }
@@ -40,7 +41,8 @@ fn time_under(be: Arc<dyn Backend>, reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn compare(name: &'static str, reps: usize, mut f: impl FnMut()) -> KernelResult {
+fn compare(name: impl Into<String>, reps: usize, mut f: impl FnMut()) -> KernelResult {
+    let name = name.into();
     let blocked_ms = time_under(Arc::new(Blocked::from_env()), reps, &mut f);
     let scalar_ms = time_under(Arc::new(ScalarRef), reps, &mut f);
     let r = KernelResult {
@@ -49,7 +51,8 @@ fn compare(name: &'static str, reps: usize, mut f: impl FnMut()) -> KernelResult
         blocked_ms,
     };
     eprintln!(
-        "[kernels] {name}: scalar {scalar_ms:.2} ms, blocked {blocked_ms:.2} ms ({:.1}x)",
+        "[kernels] {}: scalar {scalar_ms:.2} ms, blocked {blocked_ms:.2} ms ({:.1}x)",
+        r.name,
         r.speedup()
     );
     r
@@ -95,6 +98,57 @@ fn main() {
             backend::current().attention(q.as_slice(), k.as_slice(), v.as_slice(), &mut out, &spec);
             std::hint::black_box(&out);
         }));
+    }
+
+    // Masked window attention at the shapes the model runs: each encoder
+    // stage of the medium scenario with its shifted-window (SW-MSA) mask
+    // of 0 / -1e9. The token grid is padded, so every attention call of a
+    // medium forward is masked like these (384x16x6 at stage 0, 96x16x6 at
+    // stage 1).
+    {
+        let cfg = ccore::Scenario::medium().swin;
+        let (gh, gw, gd, gt) = cfg.token_grid();
+        let mut dims = [gh, gw, gd, gt];
+        for stage in 0..cfg.n_stages() {
+            let win = if stage == 0 {
+                cfg.window_first
+            } else {
+                cfg.window_rest
+            };
+            let heads = cfg.num_heads[stage];
+            let d = cfg.dim_at(stage) / heads;
+            let mask = csurrogate::window::attention_mask(dims, win, true);
+            let (windows, n) = (mask.shape()[0], mask.shape()[1]);
+            let bh = windows * heads;
+            let q = ctensor::init::randn(&[bh * n * d], 1.0, &mut rng);
+            let k = ctensor::init::randn(&[bh * n * d], 1.0, &mut rng);
+            let v = ctensor::init::randn(&[bh * n * d], 1.0, &mut rng);
+            let mut out = vec![0.0f32; bh * n * d];
+            results.push(compare(
+                format!("attention_masked_{bh}x{n}x{d}"),
+                20,
+                || {
+                    let spec = ctensor::backend::AttentionSpec {
+                        batch: bh,
+                        heads,
+                        n,
+                        d,
+                        scale: 1.0 / (d as f32).sqrt(),
+                        mask: Some(mask.as_slice()),
+                        mask_windows: windows,
+                    };
+                    backend::current().attention(
+                        q.as_slice(),
+                        k.as_slice(),
+                        v.as_slice(),
+                        &mut out,
+                        &spec,
+                    );
+                    std::hint::black_box(&out);
+                },
+            ));
+            dims = csurrogate::block::merged_dims(dims);
+        }
     }
 
     // Softmax over attention-score rows.

@@ -12,7 +12,7 @@ fn main() {
     let pred = ctx.trained.predict_episode(w);
     let reference = &w[w.len() - 1];
     let ai = pred.last().unwrap();
-    let k = ctx.grid.sigma.nz - 1; // surface layer
+    let k = ctx.grid.sigma.nz() - 1; // surface layer
 
     for (name, rf, pf) in [("u", &reference.u, &ai.u), ("v", &reference.v, &ai.v)] {
         let mut rows = Vec::new();

@@ -13,5 +13,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("failed to launch {b}: {e}"));
         assert!(status.success(), "{b} failed");
     }
-    println!("\nAll experiments regenerated. See EXPERIMENTS.md for the paper-vs-measured record.");
+    println!(
+        "\nAll experiments regenerated. See perfbench/README.md for the end-to-end benchmark."
+    );
 }

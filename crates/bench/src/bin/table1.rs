@@ -16,7 +16,11 @@ fn main() {
     println!("\npaper: 898x598x12, 12-day horizon: MPI ROMS 512 cores = 9,908 s; surrogate (1×A100) = 22 s (450×)");
     println!(
         "ours : {}x{}x{} mesh, {} snapshots of {}s\n",
-        ctx.grid.ny, ctx.grid.nx, ctx.grid.sigma.nz, horizon_snaps, interval
+        ctx.grid.ny,
+        ctx.grid.nx,
+        ctx.grid.sigma.nz(),
+        horizon_snaps,
+        interval
     );
 
     let mut rows = Vec::new();

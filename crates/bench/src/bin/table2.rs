@@ -33,7 +33,9 @@ fn main() {
     println!("\npaper: loading 4 GB | processing 42 GB | updating 12 GB (per 900x600x12 sample)");
     println!(
         "ours  (scaled mesh {}x{}x{}):",
-        ctx.grid.ny, ctx.grid.nx, ctx.grid.sigma.nz
+        ctx.grid.ny,
+        ctx.grid.nx,
+        ctx.grid.sigma.nz()
     );
     println!(
         "  sample loading     : {:>12} bytes ({:.2} MB)",

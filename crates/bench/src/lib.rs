@@ -37,7 +37,7 @@ impl Context {
             "[ctx] mesh {}x{}x{} ({} wet cells), t_out={}",
             grid.ny,
             grid.nx,
-            grid.sigma.nz,
+            grid.sigma.nz(),
             grid.wet_cells(),
             scenario.t_out
         );

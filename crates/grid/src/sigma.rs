@@ -8,29 +8,46 @@
 use serde::{Deserialize, Serialize};
 
 /// Sigma-coordinate configuration.
+///
+/// The stretching C(s) is tabulated at the `nz + 1` interfaces when the
+/// coordinates are built, so [`SigmaCoords::z_w`] and [`SigmaCoords::dz`]
+/// cost a multiply-add instead of eight `sinh`/`tanh` evaluations. The
+/// table holds exactly the values [`SigmaCoords::c_of_s`] returns, so the
+/// results are bitwise those of the untabulated formula. The fields are
+/// private so the table cannot go stale.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SigmaCoords {
     /// Number of layers (the paper's mesh uses 12).
-    pub nz: usize,
+    nz: usize,
     /// Surface stretching intensity (0 = uniform).
-    pub theta_s: f64,
+    theta_s: f64,
     /// Bottom stretching intensity.
-    pub theta_b: f64,
+    theta_b: f64,
+    /// `c_w[k] = C(s_w(k))` for `k = 0..=nz`.
+    c_w: Vec<f64>,
 }
 
 impl SigmaCoords {
     pub fn new(nz: usize, theta_s: f64, theta_b: f64) -> Self {
         assert!(nz >= 1);
-        Self {
+        let mut s = Self {
             nz,
             theta_s,
             theta_b,
-        }
+            c_w: Vec::new(),
+        };
+        s.c_w = (0..=nz).map(|k| s.c_of_s(s.s_w(k))).collect();
+        s
     }
 
     /// Uniform layers (no stretching).
     pub fn uniform(nz: usize) -> Self {
         Self::new(nz, 0.0, 0.0)
+    }
+
+    /// Number of layers.
+    pub fn nz(&self) -> usize {
+        self.nz
     }
 
     /// s-value of interface `k` (k = 0 bottom .. nz top), in [-1, 0].
@@ -54,10 +71,8 @@ impl SigmaCoords {
     /// Depth (negative, m) of interface `k` for water depth `h` and free
     /// surface `zeta` — linear (Shchepetkin) transform.
     pub fn z_w(&self, k: usize, h: f64, zeta: f64) -> f64 {
-        let s = self.s_w(k);
-        let c = self.c_of_s(s);
         // z = zeta + (zeta + h) * sigma with stretched sigma
-        zeta + (zeta + h) * c
+        zeta + (zeta + h) * self.c_w[k]
     }
 
     /// Thickness (m) of layer `k` (0-based, bottom-up) for the column.

@@ -90,7 +90,7 @@ impl TileDomain {
             tile: t,
             ny,
             nx,
-            nz: grid.sigma.nz,
+            nz: grid.sigma.nz(),
             h,
             mask_rho,
             mask_u,

@@ -148,7 +148,7 @@ fn gather_snapshots(
     grid: &Grid,
     local: Vec<Snapshot>,
 ) -> Vec<Snapshot> {
-    let nz = grid.sigma.nz;
+    let nz = grid.sigma.nz();
     if comm.rank() != 0 {
         for (s_idx, snap) in local.iter().enumerate() {
             let tag = TAG_GATHER + s_idx as u64;

@@ -7,6 +7,8 @@
 //! - **attention** — fused `softmax(Q·Kᵀ·scale + mask)·V`: query rows are
 //!   processed in blocks of [`QB`] so each K/V row streams from cache once
 //!   per block, and the `(n, n)` score matrix is never materialized.
+//!   Narrow heads (`d < LANES`) score against transposed keys. Batch-heads
+//!   split into one run per worker thread, each with its own scratch.
 //! - **elementwise / reductions / softmax** — rayon-parallel above the
 //!   runtime-tunable [`Blocked::par_threshold`] element count, with
 //!   in-place variants that skip the output allocation entirely.
@@ -239,6 +241,7 @@ impl Blocked {
                     acs,
                     brs,
                     bcs,
+                    &mut Vec::new(),
                 );
             }
         } else if n_batch >= threads {
@@ -256,6 +259,7 @@ impl Blocked {
                     acs,
                     brs,
                     bcs,
+                    &mut Vec::new(),
                 );
             });
         } else {
@@ -297,11 +301,15 @@ impl Blocked {
                     acs,
                     brs,
                     bcs,
+                    &mut Vec::new(),
                 );
             });
         }
     }
 }
+
+/// One fan-out task's `(dq, (dk, dv))` chunks in the attention backward.
+type GradChunks<'a> = (&'a mut [f32], (&'a mut [f32], &'a mut [f32]));
 
 /// Slice-level lane kernel signatures (see `ctensor::simd`).
 type SimdMapFn = fn(SimdLevel, &[f32], &mut [f32]);
@@ -571,31 +579,29 @@ impl Backend for Blocked {
         if mat == 0 || spec.batch == 0 {
             return;
         }
-        let flops = 4 * spec.batch * n * n * d;
-        if flops >= MIN_PAR_FLOPS && rayon::current_num_threads() > 1 && spec.batch > 1 {
-            out.par_chunks_mut(mat).enumerate().for_each(|(bh, om)| {
+        let per = attention_heads_per_task(4 * n * n * d, spec.batch);
+        // Task `t` owns batch-heads `t·per..`, with scratch reused across them.
+        let run = |(t, oc): (usize, &mut [f32])| {
+            let mut scratch = AttnScratch::new(n, d, QB);
+            for (i, om) in oc.chunks_mut(mat).enumerate() {
+                let bh = t * per + i;
+                let at = bh * mat..(bh + 1) * mat;
                 attention_one(
                     self.simd,
-                    &q[bh * mat..(bh + 1) * mat],
-                    &k[bh * mat..(bh + 1) * mat],
-                    &v[bh * mat..(bh + 1) * mat],
+                    &q[at.clone()],
+                    &k[at.clone()],
+                    &v[at],
                     om,
                     bh,
                     spec,
-                );
-            });
-        } else {
-            for (bh, om) in out.chunks_mut(mat).enumerate() {
-                attention_one(
-                    self.simd,
-                    &q[bh * mat..(bh + 1) * mat],
-                    &k[bh * mat..(bh + 1) * mat],
-                    &v[bh * mat..(bh + 1) * mat],
-                    om,
-                    bh,
-                    spec,
+                    &mut scratch,
                 );
             }
+        };
+        if per < spec.batch {
+            out.par_chunks_mut(per * mat).enumerate().for_each(run);
+        } else {
+            run((0, out));
         }
     }
 
@@ -715,44 +721,42 @@ impl Backend for Blocked {
         if mat == 0 || spec.batch == 0 {
             return;
         }
-        let lv = self.simd;
         // ~10 n²d flops per batch-head (recompute + four products).
-        let flops = 10 * spec.batch * n * n * d;
-        if flops >= MIN_PAR_FLOPS && rayon::current_num_threads() > 1 && spec.batch > 1 {
-            // Each batch-head owns disjoint dq/dk/dv slices, so the three
-            // gradient buffers split in lockstep.
-            dq.par_chunks_mut(mat)
-                .zip(dk.par_chunks_mut(mat).zip(dv.par_chunks_mut(mat)))
-                .enumerate()
-                .for_each(|(bh, (dqm, (dkm, dvm)))| {
-                    attention_grad_one(
-                        lv,
-                        &q[bh * mat..(bh + 1) * mat],
-                        &k[bh * mat..(bh + 1) * mat],
-                        &v[bh * mat..(bh + 1) * mat],
-                        &dout[bh * mat..(bh + 1) * mat],
-                        dqm,
-                        dkm,
-                        dvm,
-                        bh,
-                        spec,
-                    );
-                });
-        } else {
-            for bh in 0..spec.batch {
+        let per = attention_heads_per_task(10 * n * n * d, spec.batch);
+        // Each batch-head owns disjoint dq/dk/dv slices, so the three
+        // gradient buffers split in lockstep; task `t` owns batch-heads
+        // `t·per..`, with scratch reused across them.
+        let run = |(t, (dqc, (dkc, dvc))): (usize, GradChunks<'_>)| {
+            let mut scratch = AttnGradScratch::new(n, d);
+            let heads = dqc
+                .chunks_mut(mat)
+                .zip(dkc.chunks_mut(mat).zip(dvc.chunks_mut(mat)));
+            for (i, (dqm, (dkm, dvm))) in heads.enumerate() {
+                let bh = t * per + i;
+                let at = bh * mat..(bh + 1) * mat;
                 attention_grad_one(
-                    lv,
-                    &q[bh * mat..(bh + 1) * mat],
-                    &k[bh * mat..(bh + 1) * mat],
-                    &v[bh * mat..(bh + 1) * mat],
-                    &dout[bh * mat..(bh + 1) * mat],
-                    &mut dq[bh * mat..(bh + 1) * mat],
-                    &mut dk[bh * mat..(bh + 1) * mat],
-                    &mut dv[bh * mat..(bh + 1) * mat],
+                    self.simd,
+                    &q[at.clone()],
+                    &k[at.clone()],
+                    &v[at.clone()],
+                    &dout[at],
+                    dqm,
+                    dkm,
+                    dvm,
                     bh,
                     spec,
+                    &mut scratch,
                 );
             }
+        };
+        if per < spec.batch {
+            let chunk = per * mat;
+            dq.par_chunks_mut(chunk)
+                .zip(dk.par_chunks_mut(chunk).zip(dv.par_chunks_mut(chunk)))
+                .enumerate()
+                .for_each(run);
+        } else {
+            run((0, (dq, (dk, dv))));
         }
     }
 
@@ -814,13 +818,131 @@ impl Backend for Blocked {
     }
 }
 
+/// Batch-heads per fan-out task of the fused attention kernels, for
+/// `flops_per_head` of work each: one task per worker thread, or all of
+/// `batch` in one serial task when the call is too small to split. Every
+/// batch-head's arithmetic is self-contained, so any split gives the same
+/// bits.
+fn attention_heads_per_task(flops_per_head: usize, batch: usize) -> usize {
+    let threads = rayon::current_num_threads();
+    if flops_per_head * batch < MIN_PAR_FLOPS || threads <= 1 {
+        batch
+    } else {
+        batch.div_ceil(threads)
+    }
+}
+
+/// Scratch of the forward attention kernel, allocated once per fan-out
+/// task and reused by every batch-head the task owns.
+struct AttnScratch {
+    /// Scores of one query block (`QB × n`).
+    scores: Vec<f32>,
+    /// Softmax rows: `rows × n` (one query block forward, all `n` rows in
+    /// the backward).
+    probs: Vec<f32>,
+    /// Transposed keys (`d × n`), narrow heads only.
+    kt: Vec<f32>,
+}
+
+impl AttnScratch {
+    fn new(n: usize, d: usize, rows: usize) -> Self {
+        Self {
+            scores: vec![0.0; QB.min(n) * n],
+            probs: vec![0.0; rows.min(n) * n],
+            kt: vec![0.0; if narrow(d) { d * n } else { 0 }],
+        }
+    }
+}
+
+/// Narrow heads (`d < LANES`, the served model's head dim 6) compute scores
+/// against transposed keys, so eight keys share one lane; a per-key dot
+/// product would run entirely in its scalar tail.
+#[inline]
+fn narrow(d: usize) -> bool {
+    d < simd::LANES
+}
+
+/// `dst (d × n) = srcᵀ` for a row-major `n × d` head matrix.
+fn transpose_head(src: &[f32], dst: &mut [f32], n: usize, d: usize) {
+    for (j, row) in src[..n * d].chunks_exact(d).enumerate() {
+        for (c, &x) in row.iter().enumerate() {
+            dst[c * n + j] = x;
+        }
+    }
+}
+
+/// `scores = Q_block · Kᵀ · scale` for `ib` query rows: against the
+/// transposed keys `kt` on narrow heads, against `km` otherwise. Both give
+/// the bits of the sequential dot product on narrow heads.
+#[allow(clippy::too_many_arguments)]
+fn scores_block(
+    lv: SimdLevel,
+    q_block: &[f32],
+    km: &[f32],
+    kt: &[f32],
+    scores: &mut [f32],
+    ib: usize,
+    n: usize,
+    d: usize,
+    scale: f32,
+) {
+    if narrow(d) {
+        simd::attn_scores_block_t(lv, q_block, kt, scores, ib, n, d, scale);
+    } else {
+        simd::attn_scores_block(lv, q_block, km, scores, ib, n, d, scale);
+    }
+}
+
+/// Scores, additive mask and row softmax of query rows `i0..i0 + ib`
+/// (the first two passes of [`attention_one`], shared with the backward's
+/// recompute). Rows land in `probs[..ib·n]`.
+#[allow(clippy::too_many_arguments)]
+fn softmax_block(
+    lv: SimdLevel,
+    qm: &[f32],
+    km: &[f32],
+    kt: &[f32],
+    scores: &mut [f32],
+    probs: &mut [f32],
+    i0: usize,
+    ib: usize,
+    bh: usize,
+    spec: &AttentionSpec,
+) {
+    let (n, d) = (spec.n, spec.d);
+    let q_block = &qm[i0 * d..(i0 + ib) * d];
+    scores_block(
+        lv,
+        q_block,
+        km,
+        kt,
+        &mut scores[..ib * n],
+        ib,
+        n,
+        d,
+        spec.scale,
+    );
+    for r in 0..ib {
+        let row = &mut scores[r * n..(r + 1) * n];
+        if let Some(mr) = spec.mask_row(bh, i0 + r) {
+            for (s, &mv) in row.iter_mut().zip(mr) {
+                *s += mv;
+            }
+        }
+        simd::softmax_row(lv, row, &mut probs[r * n..(r + 1) * n]);
+    }
+}
+
 /// Fused attention for one `(n, d)` head: blocked two-pass streaming of K
 /// then V per [`QB`]-row query block; scores live in a `QB×n` scratch.
 ///
 /// SIMD structure: each pass is one `target_feature` region per query
 /// block — [`simd::attn_scores_block`] (an 8-dots-at-once `hadd` tree when
-/// `d = 8`, the Swin head dim), the lane-max [`simd::softmax_row`] per
-/// score row, and [`simd::attn_pv_block`] (FMA-accumulated value lanes).
+/// `d = 8`) or, on narrow heads, [`simd::attn_scores_block_t`] against
+/// the transposed keys; the lane-max [`simd::softmax_row`] per score row;
+/// and [`simd::attn_pv_block`] (FMA-accumulated value lanes, one partial
+/// lane per row when `d < 8`).
+#[allow(clippy::too_many_arguments)]
 fn attention_one(
     lv: SimdLevel,
     qm: &[f32],
@@ -829,37 +951,30 @@ fn attention_one(
     om: &mut [f32],
     bh: usize,
     spec: &AttentionSpec,
+    s: &mut AttnScratch,
 ) {
     let (n, d) = (spec.n, spec.d);
-    let mut scores = vec![0.0f32; QB * n];
-    let mut probs = vec![0.0f32; QB * n];
+    if narrow(d) {
+        transpose_head(km, &mut s.kt, n, d);
+    }
     for i0 in (0..n).step_by(QB) {
         let ib = (n - i0).min(QB);
-        // Pass 1: scores = Q_block · Kᵀ · scale.
-        simd::attn_scores_block(
+        softmax_block(
             lv,
-            &qm[i0 * d..(i0 + ib) * d],
+            qm,
             km,
-            &mut scores[..ib * n],
+            &s.kt,
+            &mut s.scores,
+            &mut s.probs,
+            i0,
             ib,
-            n,
-            d,
-            spec.scale,
+            bh,
+            spec,
         );
-        // Softmax per query row (with the additive mask).
-        for r in 0..ib {
-            let row = &mut scores[r * n..(r + 1) * n];
-            if let Some(mr) = spec.mask_row(bh, i0 + r) {
-                for (s, &mv) in row.iter_mut().zip(mr) {
-                    *s += mv;
-                }
-            }
-            simd::softmax_row(lv, row, &mut probs[r * n..(r + 1) * n]);
-        }
         // Pass 2: out_block = P · V.
         simd::attn_pv_block(
             lv,
-            &probs[..ib * n],
+            &s.probs[..ib * n],
             vm,
             &mut om[i0 * d..(i0 + ib) * d],
             ib,
@@ -944,6 +1059,8 @@ fn gebp(
 /// reuse the same packed panels + 4×16 FMA microkernel as the forward pass.
 /// Accumulation order per output element (KC-block outer, packed-kk inner)
 /// is identical to [`gebp`] and independent of any parallel row split.
+/// `bpack` holds the packed B panels; callers running many small products
+/// (the attention backward) pass one buffer for all of them.
 #[allow(clippy::too_many_arguments)]
 fn gebp_strided(
     lv: SimdLevel,
@@ -957,9 +1074,11 @@ fn gebp_strided(
     acs: usize,
     brs: usize,
     bcs: usize,
+    bpack: &mut Vec<f32>,
 ) {
     let panels = n.div_ceil(NR);
-    let mut bpack = vec![0.0f32; panels * KC * NR];
+    // Every slot a K block reads is written by its packing pass first.
+    bpack.resize(panels * KC * NR, 0.0);
     let mut apack = [0.0f32; MR * KC];
     for kc0 in (0..k).step_by(KC) {
         let kc = (k - kc0).min(KC);
@@ -1007,14 +1126,42 @@ fn gebp_strided(
     }
 }
 
+/// Scratch of the attention backward, allocated once per fan-out task and
+/// reused by every batch-head the task owns.
+struct AttnGradScratch {
+    /// Recomputed probabilities (all `n × n` rows) and transposed keys.
+    fwd: AttnScratch,
+    /// Transposed values (`d × n`), narrow heads only.
+    vt: Vec<f32>,
+    /// `dP = dO·Vᵀ` (`n × n`).
+    dp: Vec<f32>,
+    /// `dS` (`n × n`).
+    ds: Vec<f32>,
+    /// Packed B panels of [`gebp_strided`].
+    bpack: Vec<f32>,
+}
+
+impl AttnGradScratch {
+    fn new(n: usize, d: usize) -> Self {
+        Self {
+            fwd: AttnScratch::new(n, d, n),
+            vt: vec![0.0; if narrow(d) { d * n } else { 0 }],
+            dp: vec![0.0; n * n],
+            ds: vec![0.0; n * n],
+            bpack: Vec::new(),
+        }
+    }
+}
+
 /// Attention backward for one `(n, d)` batch-head. P is recomputed exactly
 /// as [`attention_one`] does (QB-blocked scores + mask + lane softmax), then
 /// the four adjoint products run on SIMD kernels:
-/// `dP = dO·Vᵀ` via [`simd::attn_scores_block`] (scale 1),
+/// `dP = dO·Vᵀ` via the score kernel (scale 1; against the transposed
+/// values on narrow heads),
 /// `dS = (dP − rowsum(dP⊙P))⊙P·scale` via [`simd::softmax_grad_row`],
 /// and `dV += Pᵀ·dO`, `dQ += dS·K`, `dK += dSᵀ·Q` via [`gebp_strided`]
 /// (transposed views by stride, nothing materialized). Scratch is `O(n²)`
-/// per batch-head, matching the reference contract.
+/// per task, matching the reference contract.
 #[allow(clippy::too_many_arguments)]
 fn attention_grad_one(
     lv: SimdLevel,
@@ -1027,53 +1174,40 @@ fn attention_grad_one(
     dvm: &mut [f32],
     bh: usize,
     spec: &AttentionSpec,
+    s: &mut AttnGradScratch,
 ) {
     let (n, d) = (spec.n, spec.d);
-    let mut scores = vec![0.0f32; QB * n];
-    let mut probs = vec![0.0f32; n * n];
+    let f = &mut s.fwd;
+    if narrow(d) {
+        transpose_head(km, &mut f.kt, n, d);
+        transpose_head(vm, &mut s.vt, n, d);
+    }
     for i0 in (0..n).step_by(QB) {
         let ib = (n - i0).min(QB);
-        simd::attn_scores_block(
-            lv,
-            &qm[i0 * d..(i0 + ib) * d],
-            km,
-            &mut scores[..ib * n],
-            ib,
-            n,
-            d,
-            spec.scale,
-        );
-        for r in 0..ib {
-            let row = &mut scores[r * n..(r + 1) * n];
-            if let Some(mr) = spec.mask_row(bh, i0 + r) {
-                for (s, &mv) in row.iter_mut().zip(mr) {
-                    *s += mv;
-                }
-            }
-            simd::softmax_row(lv, row, &mut probs[(i0 + r) * n..(i0 + r + 1) * n]);
-        }
+        let probs = &mut f.probs[i0 * n..];
+        softmax_block(lv, qm, km, &f.kt, &mut f.scores, probs, i0, ib, bh, spec);
     }
+    let probs = &f.probs;
     // dP[i·n + j] = dO_i · V_j — the score kernel against V with scale 1.
-    let mut dp = vec![0.0f32; n * n];
-    simd::attn_scores_block(lv, dom, vm, &mut dp, n, n, d, 1.0);
-    let mut dsm = vec![0.0f32; n * n];
+    scores_block(lv, dom, vm, &s.vt, &mut s.dp, n, n, d, 1.0);
     for i in 0..n {
         simd::softmax_grad_row(
             lv,
             &probs[i * n..(i + 1) * n],
-            &dp[i * n..(i + 1) * n],
-            &mut dsm[i * n..(i + 1) * n],
+            &s.dp[i * n..(i + 1) * n],
+            &mut s.ds[i * n..(i + 1) * n],
         );
     }
     if spec.scale != 1.0 {
-        for x in dsm.iter_mut() {
+        for x in s.ds.iter_mut() {
             *x *= spec.scale;
         }
     }
     // dV += Pᵀ·dO ; dQ += dS·K ; dK += dSᵀ·Q.
-    gebp_strided(lv, &probs, dom, dvm, n, n, d, 1, n, d, 1);
-    gebp_strided(lv, &dsm, km, dqm, n, n, d, n, 1, d, 1);
-    gebp_strided(lv, &dsm, qm, dkm, n, n, d, 1, n, d, 1);
+    let bp = &mut s.bpack;
+    gebp_strided(lv, probs, dom, dvm, n, n, d, 1, n, d, 1, bp);
+    gebp_strided(lv, &s.ds, km, dqm, n, n, d, n, 1, d, 1, bp);
+    gebp_strided(lv, &s.ds, qm, dkm, n, n, d, 1, n, d, 1, bp);
 }
 
 #[cfg(test)]

@@ -15,7 +15,9 @@
 //!   `ScalarRef` oracle is within `1e-6` absolute for softmax/attention
 //!   outputs and `1e-5` relative for raw exponentials. NaN propagates;
 //!   `exp` of values beyond the f32-overflow threshold returns `inf`
-//!   exactly like `f32::exp`.
+//!   exactly like `f32::exp`. Below the f32 normal range the wide `exp`
+//!   (lanes and tails alike) returns exact `+0.0` where libm returns a
+//!   subnormal (≤ 1.2e-38): subnormal operands stall every later FMA.
 //! - Lane/tail splits are **data-independent** (fixed by slice length
 //!   only), so results are bitwise-identical regardless of how many rayon
 //!   threads execute a kernel — required by the thread-invariance tests.
@@ -159,6 +161,30 @@ mod scalar {
         }
     }
 
+    /// Attention score block against transposed keys `kt` (`d × n`,
+    /// `kt[c·n + j] = k_j[c]`). Same per-element accumulation order as
+    /// [`attn_scores_block`], so the two agree bitwise.
+    pub fn attn_scores_block_t(
+        q_block: &[f32],
+        kt: &[f32],
+        scores: &mut [f32],
+        ib: usize,
+        n: usize,
+        d: usize,
+        scale: f32,
+    ) {
+        for r in 0..ib {
+            let q_row = &q_block[r * d..(r + 1) * d];
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for (c, &qc) in q_row.iter().enumerate() {
+                    acc += qc * kt[c * n + j];
+                }
+                scores[r * n + j] = acc * scale;
+            }
+        }
+    }
+
     /// Attention value block: `out_r = Σ_j probs[r·n + j] · v_j`.
     ///
     /// For each `(r, c)` the accumulation runs over increasing `j`, the
@@ -272,6 +298,22 @@ mod avx2 {
     use super::LANES;
     use std::arch::x86_64::*;
 
+    /// Below this `exp` leaves the f32 normal range; the wide level
+    /// flushes the result to `+0.0` (see [`exp_ps`]).
+    const UNDERFLOW: f32 = -87.336_54;
+
+    /// Scalar tail of the wide level's `exp`: libm, with the same
+    /// below-normal flush as [`exp_ps`], so no lane or tail of a wide
+    /// kernel ever returns a subnormal.
+    #[inline]
+    fn exp_tail(v: f32) -> f32 {
+        if v < UNDERFLOW {
+            0.0
+        } else {
+            v.exp()
+        }
+    }
+
     /// exp(x) for one lane: Cephes-style range reduction
     /// (`x = n·ln2 + r`, `|r| ≤ ln2/2`), degree-5 polynomial on `r`, then
     /// two-step `2^n` scaling so the full f32 range (including `n = 128`
@@ -279,14 +321,20 @@ mod avx2 {
     /// reconstructed without integer-exponent overflow.
     ///
     /// Inputs above `ln(f32::MAX)` return `inf` (as `f32::exp` does);
-    /// inputs below the normal range clamp to ~1.2e-38 (abs error vs the
-    /// denormal-producing libm ≤ 1.2e-38). NaN propagates.
+    /// inputs below the normal range (`x < −87.34`) return exact `+0.0`,
+    /// as libm does below −103.97. Between the two cutoffs libm returns a
+    /// subnormal ≤ 1.2e-38, so the absolute error stays under that. The
+    /// flush is deliberate: a subnormal probability (e.g. `exp(−1e9)` of
+    /// a masked attention score) makes every later FMA that reads it take
+    /// a microcode assist, several times slower than a normal FMA. NaN
+    /// propagates.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn exp_ps(x: __m256) -> __m256 {
         // f32::exp overflows to inf strictly above ln(f32::MAX).
         const OVERFLOW: f32 = 88.722_84;
-        const UNDERFLOW: f32 = -87.336_54; // below: clamp (normal range)
         let overflow_mask = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_set1_ps(OVERFLOW));
+        // NaN lanes fail LT, so they stay NaN through the final mask.
+        let underflow_mask = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(UNDERFLOW));
         // Clamp operand order chosen so NaN in `x` propagates (max/min
         // return the second source when either operand is NaN).
         let xc = _mm256_max_ps(_mm256_set1_ps(UNDERFLOW), x);
@@ -324,8 +372,9 @@ mod avx2 {
         let scaled = _mm256_mul_ps(_mm256_mul_ps(y, p1), p2);
 
         // Exact inf on overflow, matching libm (NaN lanes fail GT and keep
-        // their propagated NaN).
-        _mm256_blendv_ps(scaled, _mm256_set1_ps(f32::INFINITY), overflow_mask)
+        // their propagated NaN), and exact +0 below the normal range.
+        let out = _mm256_blendv_ps(scaled, _mm256_set1_ps(f32::INFINITY), overflow_mask);
+        _mm256_andnot_ps(underflow_mask, out)
     }
 
     /// tanh(x) = (e^{2x} − 1) / (e^{2x} + 1), with |x| clamped to 9.01
@@ -407,7 +456,7 @@ mod avx2 {
         };
     }
 
-    map_slice!(exp_slice, exp_ps, |v: f32| v.exp());
+    map_slice!(exp_slice, exp_ps, exp_tail);
     map_slice!(tanh_slice, tanh_ps, |v: f32| v.tanh());
     map_slice!(gelu_slice, gelu_ps, crate::tensor::ops::gelu_scalar);
     map_slice!(
@@ -438,7 +487,7 @@ mod avx2 {
         };
     }
 
-    map_slice_inplace!(exp_slice_inplace, exp_ps, |v: f32| v.exp());
+    map_slice_inplace!(exp_slice_inplace, exp_ps, exp_tail);
     map_slice_inplace!(tanh_slice_inplace, tanh_ps, |v: f32| v.tanh());
     map_slice_inplace!(gelu_slice_inplace, gelu_ps, crate::tensor::ops::gelu_scalar);
     map_slice_inplace!(
@@ -512,7 +561,7 @@ mod avx2 {
         }
         let mut denom = hsum(sum);
         for j in main..n {
-            let e = (x[j] - m).exp();
+            let e = exp_tail(x[j] - m);
             out[j] = e;
             denom += e;
         }
@@ -588,9 +637,52 @@ mod avx2 {
         }
     }
 
+    /// Score block against transposed keys `kt` (`d × n`), the narrow-head
+    /// path (`d < LANES`, where a per-key dot product would run entirely
+    /// in its scalar tail): eight keys share one lane and each step
+    /// broadcasts one query element. Multiply and add stay separate (no
+    /// FMA), so every score carries exactly the rounding of the sequential
+    /// scalar dot product.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn attn_scores_block_t(
+        q_block: &[f32],
+        kt: &[f32],
+        scores: &mut [f32],
+        ib: usize,
+        n: usize,
+        d: usize,
+        scale: f32,
+    ) {
+        let sv = _mm256_set1_ps(scale);
+        let main = n - n % LANES;
+        for r in 0..ib {
+            let q_row = &q_block[r * d..(r + 1) * d];
+            let mut j = 0;
+            while j < main {
+                let mut acc = _mm256_setzero_ps();
+                for (c, &qc) in q_row.iter().enumerate() {
+                    acc =
+                        _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(qc), load(kt, c * n + j)));
+                }
+                store(scores, r * n + j, _mm256_mul_ps(acc, sv));
+                j += LANES;
+            }
+            for jj in main..n {
+                let mut acc = 0.0f32;
+                for (c, &qc) in q_row.iter().enumerate() {
+                    acc += qc * kt[c * n + jj];
+                }
+                scores[r * n + jj] = acc * scale;
+            }
+        }
+    }
+
     /// Attention value block: `out_r = Σ_j probs[r·n + j] · v_j`, one
     /// `target_feature` region per query block. With `d == 8` each output
-    /// row is a single FMA-accumulated lane.
+    /// row is a single FMA-accumulated lane. With `d < 8` each output row
+    /// is one partial lane: masked loads read exactly the `d` floats of
+    /// each V row, and multiply and add stay separate so the result
+    /// matches the scalar `axpy` accumulation bit for bit.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn attn_pv_block(
         probs: &[f32],
@@ -608,6 +700,20 @@ mod avx2 {
                     acc = _mm256_fmadd_ps(_mm256_set1_ps(w), load(vm, j * LANES), acc);
                 }
                 store(out_block, r * LANES, acc);
+            }
+        } else if d < LANES {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let live = _mm256_cmpgt_epi32(_mm256_set1_epi32(d as i32), lane);
+            let mut row = [0.0f32; LANES];
+            for r in 0..ib {
+                let prow = &probs[r * n..(r + 1) * n];
+                let mut acc = _mm256_setzero_ps();
+                for (j, &w) in prow.iter().enumerate() {
+                    let vj = _mm256_maskload_ps(vm.as_ptr().add(j * d), live);
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(w), vj));
+                }
+                _mm256_storeu_ps(row.as_mut_ptr(), acc);
+                out_block[r * d..(r + 1) * d].copy_from_slice(&row[..d]);
             }
         } else {
             for r in 0..ib {
@@ -954,6 +1060,33 @@ pub fn attn_scores_block(
         },
         #[allow(unreachable_patterns)]
         _ => scalar::attn_scores_block(q_block, km, scores, ib, n, d, scale),
+    }
+}
+
+/// Attention score block against transposed keys: `scores[r·n + j] =
+/// (Σ_c q_r[c] · kt[c·n + j]) · scale`, where `kt` (`d × n`) holds the key
+/// rows as columns. The narrow-head (`d < LANES`) path of the fused
+/// attention kernels; bitwise equal to [`attn_scores_block`] for `d <
+/// LANES` at either level.
+#[allow(clippy::too_many_arguments)]
+pub fn attn_scores_block_t(
+    level: SimdLevel,
+    q_block: &[f32],
+    kt: &[f32],
+    scores: &mut [f32],
+    ib: usize,
+    n: usize,
+    d: usize,
+    scale: f32,
+) {
+    debug_assert!(q_block.len() >= ib * d && kt.len() >= n * d && scores.len() >= ib * n);
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2Fma => unsafe {
+            avx2::attn_scores_block_t(q_block, kt, scores, ib, n, d, scale)
+        },
+        #[allow(unreachable_patterns)]
+        _ => scalar::attn_scores_block_t(q_block, kt, scores, ib, n, d, scale),
     }
 }
 

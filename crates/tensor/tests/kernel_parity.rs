@@ -260,6 +260,180 @@ proptest! {
     }
 }
 
+/// Transposed-key scores (the narrow-head path) carry exactly the bits of
+/// the row-dot score kernel for every `d < LANES`, at both levels — the
+/// narrow rework moves no output bit.
+#[test]
+fn transposed_key_scores_bitwise_equal_row_dot_scores() {
+    for lv in [SimdLevel::Scalar, simd::level()] {
+        for d in 1..simd::LANES {
+            for &(ib, n) in &[(1usize, 1usize), (8, 7), (8, 16), (5, 19)] {
+                let q = moderate_values(d as u64, ib * d);
+                let k = moderate_values(0x7E57 ^ n as u64, n * d);
+                let mut kt = vec![0.0f32; d * n];
+                for j in 0..n {
+                    for c in 0..d {
+                        kt[c * n + j] = k[j * d + c];
+                    }
+                }
+                let scale = 1.0 / (d as f32).sqrt();
+                let mut rows = vec![f32::NAN; ib * n];
+                let mut cols = vec![f32::NAN; ib * n];
+                simd::attn_scores_block(lv, &q, &k, &mut rows, ib, n, d, scale);
+                simd::attn_scores_block_t(lv, &q, &kt, &mut cols, ib, n, d, scale);
+                assert_bitwise(&format!("{lv:?} scores_t d={d} n={n}"), &cols, &rows);
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------- subnormal flushing
+
+/// Inputs below the f32 normal range, down to `-inf`.
+const BELOW_NORMAL: [f32; 5] = [-88.0, -100.0, -104.0, -1.0e9, f32::NEG_INFINITY];
+
+/// The wide `exp` returns exact `+0.0` below the normal range, in lanes
+/// and in the scalar tail alike (libm returns subnormals down to −103.97).
+/// A subnormal here would stall every FMA that later reads it.
+#[test]
+fn wide_exp_flushes_below_normal_range_to_zero() {
+    let wide = simd::level();
+    if wide == SimdLevel::Scalar {
+        return; // no wide level on this host: libm semantics apply
+    }
+    // 5 values: tail only; 13 values: one full lane plus a 5-value tail.
+    for len in [BELOW_NORMAL.len(), 13] {
+        let x: Vec<f32> = BELOW_NORMAL.iter().copied().cycle().take(len).collect();
+        let mut out = vec![f32::NAN; len];
+        simd::exp_slice(wide, &x, &mut out);
+        let mut inplace = x.clone();
+        simd::exp_slice_inplace(wide, &mut inplace);
+        for (i, (&o, &p)) in out.iter().zip(&inplace).enumerate() {
+            assert_eq!(o.to_bits(), 0, "exp({}) = {o:e}, want +0.0", x[i]);
+            assert_eq!(p.to_bits(), 0, "in-place exp({}) = {p:e}, want +0.0", x[i]);
+        }
+    }
+}
+
+/// The wide softmax gives exact zeros at `-1e9` (masked) entries, never
+/// subnormal probabilities, on lane-multiple and ragged rows.
+#[test]
+fn wide_softmax_masked_entries_are_exact_zeros() {
+    let wide = simd::level();
+    for n in [16usize, 13] {
+        let mut x = moderate_values(0x5AFE ^ n as u64, n);
+        for (j, v) in x.iter_mut().enumerate() {
+            if j % 3 == 1 {
+                *v = -1.0e9;
+            }
+        }
+        let mut p = vec![f32::NAN; n];
+        simd::softmax_row(wide, &x, &mut p);
+        let mut oracle = vec![f32::NAN; n];
+        simd::softmax_row(SimdLevel::Scalar, &x, &mut oracle);
+        assert_parity("masked softmax", &p, &oracle, 1e-5, 1e-6);
+        for (j, &pj) in p.iter().enumerate() {
+            if j % 3 == 1 {
+                if wide != SimdLevel::Scalar {
+                    assert_eq!(pj.to_bits(), 0, "n={n} masked p[{j}] = {pj:e}");
+                }
+            } else {
+                assert!(pj.is_normal(), "n={n} open p[{j}] = {pj:e}");
+            }
+        }
+        let sum: f32 = p.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-5, "n={n} sum {sum}");
+    }
+}
+
+/// Swin-style block mask over `windows` windows of `n` tokens: window `w`
+/// splits its tokens into `2^w` contiguous groups (window 0 is open), and
+/// pairs across groups get `-1e9`, as wrap seams and padding do.
+fn block_mask(windows: usize, n: usize) -> Vec<f32> {
+    let mut mask = vec![0.0f32; windows * n * n];
+    for w in 0..windows {
+        let group = (n >> w).max(1);
+        for i in 0..n {
+            for j in 0..n {
+                if i / group != j / group {
+                    mask[(w * n + i) * n + j] = -1.0e9;
+                }
+            }
+        }
+    }
+    mask
+}
+
+/// Forward output and concatenated `(dq, dk, dv)` of masked attention at
+/// the served shape: 16-token windows, head dim 6, 2 heads, 4 windows with
+/// a block mask, batch 3.
+fn served_attention(be: &dyn Backend) -> (Vec<f32>, Vec<f32>) {
+    let (b, windows, heads, n, d) = (3usize, 4usize, 2usize, 16usize, 6usize);
+    let sz = b * windows * heads * n * d;
+    let (q, k, v, dout) = (
+        moderate_values(0x51, sz),
+        moderate_values(0x52, sz),
+        moderate_values(0x53, sz),
+        moderate_values(0x54, sz),
+    );
+    let mask = block_mask(windows, n);
+    let spec = AttentionSpec {
+        batch: b * windows * heads,
+        heads,
+        n,
+        d,
+        scale: 1.0 / (d as f32).sqrt(),
+        mask: Some(&mask),
+        mask_windows: windows,
+    };
+    let mut out = vec![f32::NAN; sz];
+    be.attention(&q, &k, &v, &mut out, &spec);
+    let mut grads = vec![0.0f32; 3 * sz];
+    let (dq, rest) = grads.split_at_mut(sz);
+    let (dk, dv) = rest.split_at_mut(sz);
+    be.attention_grad(&q, &k, &v, &dout, dq, dk, dv, &spec);
+    (out, grads)
+}
+
+/// Masked fused attention at the served shape (16 tokens, d = 6, a block
+/// mask of 0 / -1e9) matches `ScalarRef` forward and backward, and its
+/// output and gradients are bitwise identical at 1, 2 and 4 threads.
+#[test]
+fn masked_narrow_attention_matches_oracle_and_is_thread_invariant() {
+    let be = blocked_wide();
+    let (oracle_out, oracle_grads) = served_attention(&ScalarRef);
+    let mut reference: Option<(Vec<f32>, Vec<f32>)> = None;
+    for threads in [1usize, 2, 4] {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build_global()
+            .expect("thread pool override");
+        let (out, grads) = served_attention(be.as_ref());
+        assert_parity("served attention", &out, &oracle_out, 1e-5, 1e-5);
+        for (i, (f, o)) in grads.iter().zip(&oracle_grads).enumerate() {
+            let tol = 1e-4 + 2e-4 * o.abs();
+            assert!(
+                (f - o).abs() <= tol,
+                "served attention grad[{i}]: blocked {f} vs scalar {o}"
+            );
+        }
+        match &reference {
+            None => reference = Some((out, grads)),
+            Some((out1, grads1)) => {
+                assert_bitwise(&format!("attention @ {threads} threads"), &out, out1);
+                assert_bitwise(
+                    &format!("attention grad @ {threads} threads"),
+                    &grads,
+                    grads1,
+                );
+            }
+        }
+    }
+    rayon::ThreadPoolBuilder::new()
+        .build_global()
+        .expect("restore thread pool default");
+}
+
 // --------------------------------------------------------- backend parity
 
 fn blocked_wide() -> Arc<dyn Backend> {

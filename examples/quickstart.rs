@@ -16,7 +16,7 @@ fn main() {
         "estuary mesh {}x{}x{} with {} wet cells",
         grid.ny,
         grid.nx,
-        grid.sigma.nz,
+        grid.sigma.nz(),
         grid.wet_cells()
     );
 

@@ -52,6 +52,27 @@ proptest! {
         }
     }
 
+    /// The tabulated stretching is bitwise the untabulated formula:
+    /// `z_w` equals `zeta + (zeta + h)·C(s_w(k))` and `dz` its difference
+    /// across the layer, for every interface and layer.
+    #[test]
+    fn sigma_table_matches_formula_bitwise(
+        nz in 1usize..20,
+        theta_s in 0.0f64..6.0,
+        theta_b in 0.0f64..0.95,
+        k in 0usize..20,
+        h in 0.5f64..40.0,
+        zeta in -0.4f64..0.9,
+    ) {
+        let s = SigmaCoords::new(nz, theta_s, theta_b);
+        let k = k % (nz + 1);
+        let z = |k: usize| zeta + (zeta + h) * s.c_of_s(s.s_w(k));
+        prop_assert_eq!(s.z_w(k, h, zeta).to_bits(), z(k).to_bits());
+        if k < nz {
+            prop_assert_eq!(s.dz(k, h, zeta).to_bits(), (z(k + 1) - z(k)).to_bits());
+        }
+    }
+
     /// roll is inverted by the opposite shift for any shape/shift.
     #[test]
     fn tensor_roll_inverse(
